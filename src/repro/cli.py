@@ -43,11 +43,10 @@ import warnings
 from pathlib import Path
 
 from repro.core.scheme import compile_systolic
-from repro.geometry.linalg import Matrix
-from repro.geometry.point import Point
 from repro.lang.parser import parse_program
+from repro.lang.program import SourceProgram
 from repro.systolic.schedule import makespan, synthesize_places, synthesize_step
-from repro.systolic.spec import SystolicArray
+from repro.systolic.spec import SystolicArray, array_from_spec
 from repro.target.build import build_target_program
 from repro.target.cgen import render_c
 from repro.target.occam import render_occam
@@ -58,18 +57,34 @@ from repro.verify.equivalence import verify_design
 _RENDERERS = {"paper": render_paper, "occam": render_occam, "c": render_c}
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ReproError(f"cannot read {what} {path!r}: {exc}") from None
+
+
+def load_program(path: str) -> SourceProgram:
+    """Read and parse a source-program file."""
+    return parse_program(_read_text(path, "source file"))
+
+
 def load_design(path: str) -> SystolicArray:
     """Read a design-spec JSON file into a :class:`SystolicArray`."""
-    data = json.loads(Path(path).read_text())
-    loading = {
-        name: Point(vec) for name, vec in (data.get("loading") or {}).items()
-    }
-    return SystolicArray(
-        step=Matrix(data["step"]),
-        place=Matrix(data["place"]),
-        loading_vectors=loading,
-        name=data.get("name", Path(path).stem),
-    )
+    try:
+        data = json.loads(_read_text(path, "design spec"))
+    except json.JSONDecodeError as exc:
+        raise ReproError(f"design spec {path!r} is not valid JSON: {exc}") from None
+    return array_from_spec(data, default_name=Path(path).stem)
+
+
+def _size_value(name: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ReproError(
+            f"size {name} must be an integer, got {value.strip()!r}"
+        ) from None
 
 
 def parse_sizes(pairs: list[str]) -> dict[str, int]:
@@ -78,7 +93,7 @@ def parse_sizes(pairs: list[str]) -> dict[str, int]:
         if "=" not in pair:
             raise ReproError(f"size must be name=value, got {pair!r}")
         name, _, value = pair.partition("=")
-        env[name.strip()] = int(value)
+        env[name.strip()] = _size_value(name.strip(), value)
     return env
 
 
@@ -109,7 +124,7 @@ def parse_size_sweep(pairs: list[str]) -> list[dict[str, int]]:
             raise ReproError(f"size must be name=value, got {pair!r}")
         name, _, value = pair.partition("=")
         bucket = values.setdefault(name.strip(), [])
-        v = int(value)
+        v = _size_value(name.strip(), value)
         if v not in bucket:
             bucket.append(v)
     envs: list[dict[str, int]] = [{}]
@@ -119,7 +134,7 @@ def parse_size_sweep(pairs: list[str]) -> list[dict[str, int]]:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    program = parse_program(Path(args.source).read_text())
+    program = load_program(args.source)
     array = load_design(args.design)
     systolic = compile_systolic(program, array)
     print(systolic.summary())
@@ -130,7 +145,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    program = parse_program(Path(args.source).read_text())
+    program = load_program(args.source)
     array = load_design(args.design)
     systolic = compile_systolic(program, array)
     env = parse_sizes(args.size)
@@ -155,7 +170,7 @@ def cmd_execute(args: argparse.Namespace) -> int:
     from repro.lang.interpreter import run_sequential
     from repro.verify.equivalence import random_inputs
 
-    program = parse_program(Path(args.source).read_text())
+    program = load_program(args.source)
     array = load_design(args.design)
     systolic = compile_systolic(program, array)
     env = parse_sizes(args.size)
@@ -237,7 +252,7 @@ def cmd_execute(args: argparse.Namespace) -> int:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    program = parse_program(Path(args.source).read_text())
+    program = load_program(args.source)
     steps = synthesize_step(program, bound=args.bound)
     env = {s: 4 for s in _size_symbols(program)}
     if not steps:
@@ -262,7 +277,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_table
     from repro.parallel import resolve_jobs, sweep_designs
 
-    program = parse_program(Path(args.source).read_text())
+    program = load_program(args.source)
     steps = synthesize_step(program, bound=args.bound)
     if not steps:
         raise ReproError(

@@ -41,6 +41,10 @@ PARTITION_EVERY = 4
 #: the scheduler-engine A/B (fast single-op vs generic slots) runs the
 #: simulation twice with tracing -- two extra simulator-cost passes
 SCHED_AB_EVERY = 6
+#: the oracle A/B (compiled nest vs tree-walking interpreter) adds one
+#: interpreted oracle run per input set; it runs at residue 0, which no
+#: npgen (3), partition (4) or scheduler A/B (6) iteration shares
+ORACLE_AB_EVERY = 6
 #: the metamorphic cache-stack invariants (memo A/B, pickle round-trip,
 #: render cache, repeated execution) re-render or recompile the whole
 #: module; each runs on every 4th instance, staggered so each iteration
@@ -151,6 +155,7 @@ def iteration_config(base: HarnessConfig, iteration: int) -> HarnessConfig:
         or iteration % PARTITION_EVERY == PARTITION_EVERY - 1,
         check_sched_ab=base.check_sched_ab
         or iteration % SCHED_AB_EVERY == SCHED_AB_EVERY - 1,
+        check_oracle_ab=base.check_oracle_ab or iteration % ORACLE_AB_EVERY == 0,
         check_memo_ab=base.check_memo_ab and m == 0,
         check_pickle=base.check_pickle and m == 1,
         check_render_cache=base.check_render_cache and m == 2,

@@ -192,6 +192,10 @@ class HarnessConfig:
     #: generic slots, ``REPRO_SCHED_FAST``) and require identical final
     #: values, stats, trace streams, and deadlock reports
     check_sched_ab: bool = False
+    #: run the tree-walking interpreter beside the compiled oracle on every
+    #: input set plus one set of Fraction values, and require identical
+    #: values, value types and key order
+    check_oracle_ab: bool = False
     #: full pool-vs-serial ``sweep_designs`` comparison (expensive)
     check_pool: bool = False
     #: metamorphic cache-stack invariants; on by default for direct harness
@@ -268,6 +272,14 @@ def _compare_state(oracle, got, *, tuple_keys: bool, limit: int) -> list[str]:
         if extra:
             mismatches.append(f"unexpected variables {extra}")
     return mismatches[:limit]
+
+
+def _state_rows(state) -> list:
+    """A variable state with its key order and key/value types spelled out."""
+    return [
+        (name, [(type(k), k, type(v), v) for k, v in values.items()])
+        for name, values in state.items()
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -507,6 +519,39 @@ def run_instance(
                 raise AssertionError("engines disagree on trace streams")
 
         checked("sched_ab", check_sched_ab)
+
+    if config.check_oracle_ab:
+
+        def check_oracle_ab():
+            # The compiled oracle is the ground truth of every check above;
+            # the interpreter it replaced stays its reference.
+            from fractions import Fraction
+
+            from repro.lang.interpreter import (
+                run_sequential,
+                run_sequential_interpreted,
+            )
+
+            cases = [
+                (f"inputs seed {s}", compiled.inputs(s), compiled.oracle(s))
+                for s in seeds
+            ]
+            exact = {
+                name: {p: Fraction(2 * v + 1, 3) for p, v in values.items()}
+                for name, values in inputs.items()
+            }
+            cases.append(
+                ("Fraction inputs", exact, run_sequential(program, env, exact))
+            )
+            for label, case_inputs, got in cases:
+                ref = run_sequential_interpreted(program, env, case_inputs)
+                if _state_rows(got) != _state_rows(ref):
+                    raise AssertionError(
+                        f"{label}: compiled oracle differs from the interpreter "
+                        "(values, types or key order)"
+                    )
+
+        checked("oracle_ab", check_oracle_ab)
 
     if config.check_partition:
 

@@ -84,6 +84,11 @@ class SourceProgram:
         if len(set(names)) != len(names):
             raise SourceProgramError("duplicate stream/variable names")
 
+    def __getstate__(self) -> dict:
+        # Only the fields travel: underscored attributes are per-process
+        # caches (the oracle's generated nest, see lang/interpreter.py).
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+
     # ------------------------------------------------------------------
     # shape
     # ------------------------------------------------------------------

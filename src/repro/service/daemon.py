@@ -587,20 +587,30 @@ class CompileService:
                 400, f"backend must be one of {BACKENDS}, got {backend!r}"
             )
         started = time.perf_counter()
-        results = []
+        batch_inputs = [
+            random_inputs(entry.program, env, seed=seed + b) for b in range(batch)
+        ]
+        if backend == "npgen" and shape is None:
+            # one vectorized pass over the whole batch, as `repro execute`
+            from repro.target.npgen import execute_numpy_batch
+
+            finals = execute_numpy_batch(entry.systolic, env, batch_inputs)
+        else:
+            finals = [
+                _execute_backend(
+                    backend, entry.systolic, env, inputs, 1, partition=shape
+                )[0]
+                for inputs in batch_inputs
+            ]
         mismatched = 0
-        for b in range(batch):
-            inputs = random_inputs(entry.program, env, seed=seed + b)
-            final, _stats = _execute_backend(
-                backend, entry.systolic, env, inputs, 1, partition=shape
-            )
-            if check:
+        if check:
+            for inputs, final in zip(batch_inputs, finals):
                 oracle = run_sequential(entry.program, env, inputs)
                 for var, expected in oracle.items():
                     for element, value in expected.items():
                         if final[var].get(tuple(element)) != value:
                             mismatched += 1
-            results.append(state_to_json(final))
+        results = [state_to_json(final) for final in finals]
         elapsed = time.perf_counter() - started
         payload = {
             "fingerprint": entry.fingerprint,

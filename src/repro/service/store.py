@@ -30,48 +30,15 @@ from typing import Any, Mapping
 
 from repro.core.program import SystolicProgram
 from repro.core.scheme import compile_systolic
-from repro.geometry.linalg import Matrix
-from repro.geometry.point import Point
 from repro.lang.parser import parse_program
 from repro.lang.program import SourceProgram
-from repro.systolic.spec import SystolicArray
+from repro.systolic.spec import SystolicArray, array_from_spec
 from repro.target.pygen import fingerprint_of
 from repro.util.errors import ReproError
 
 __all__ = ["DesignStore", "StoredDesign", "array_from_spec"]
 
 DEFAULT_MAX_DESIGNS = 512
-
-
-def array_from_spec(data: Mapping[str, Any], *, default_name: str = "design") -> SystolicArray:
-    """A :class:`SystolicArray` from the JSON design-spec shape.
-
-    The same document format ``repro compile`` reads from disk and the
-    fuzz corpus embeds: ``step`` / ``place`` row lists plus optional
-    ``loading`` vectors and ``name``.
-    """
-    if not isinstance(data, Mapping):
-        raise ReproError(f"design spec must be a JSON object, got {type(data).__name__}")
-    for field_name in ("step", "place"):
-        if field_name not in data:
-            raise ReproError(f"design spec is missing the {field_name!r} rows")
-    try:
-        step = Matrix([tuple(int(c) for c in row) for row in data["step"]])
-        place = Matrix([tuple(int(c) for c in row) for row in data["place"]])
-        loading = {
-            name: Point([int(c) for c in vec])
-            for name, vec in (data.get("loading") or {}).items()
-        }
-    except ReproError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ReproError(f"malformed design spec: {exc}") from None
-    return SystolicArray(
-        step=step,
-        place=place,
-        loading_vectors=loading,
-        name=str(data.get("name", default_name)),
-    )
 
 
 @dataclass

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Any, Mapping
 
 from repro.geometry.linalg import Matrix, null_space_vector
 from repro.geometry.point import Point
 from repro.symbolic.affine import AffineVec
-from repro.util.errors import SystolicSpecError
+from repro.util.errors import ReproError, SystolicSpecError
 
 
 @dataclass(frozen=True)
@@ -106,3 +106,34 @@ class SystolicArray:
             f"SystolicArray({self.name}: step {self.step.rows[0]}, "
             f"place rows {self.place.rows})"
         )
+
+
+def array_from_spec(data: Mapping[str, Any], *, default_name: str = "design") -> SystolicArray:
+    """A :class:`SystolicArray` from the JSON design-spec shape.
+
+    The same document format ``repro compile`` reads from disk and the
+    fuzz corpus embeds: ``step`` / ``place`` row lists plus optional
+    ``loading`` vectors and ``name``.
+    """
+    if not isinstance(data, Mapping):
+        raise ReproError(f"design spec must be a JSON object, got {type(data).__name__}")
+    for field_name in ("step", "place"):
+        if field_name not in data:
+            raise ReproError(f"design spec is missing the {field_name!r} rows")
+    try:
+        step = Matrix([tuple(int(c) for c in row) for row in data["step"]])
+        place = Matrix([tuple(int(c) for c in row) for row in data["place"]])
+        loading = {
+            name: Point([int(c) for c in vec])
+            for name, vec in (data.get("loading") or {}).items()
+        }
+    except ReproError:
+        raise
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ReproError(f"malformed design spec: {exc}") from None
+    return SystolicArray(
+        step=step,
+        place=place,
+        loading_vectors=loading,
+        name=str(data.get("name", default_name)),
+    )

@@ -224,3 +224,45 @@ class TestDriver:
         summary = fuzz_run(seed=0, iterations=500, time_budget=0.0, shrink=False)
         assert summary.stopped_early
         assert summary.iterations < 500
+
+
+class TestOracleAB:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_compiled_oracle_matches_interpreter(self, seed):
+        instance = _skip_if_unschedulable(generate_instance(seed))
+        report = run_instance(
+            instance, HarnessConfig(input_sets=2, check_oracle_ab=True)
+        )
+        assert report.ok, str(report)
+        assert "oracle_ab" in report.checks_run
+
+    def test_catches_a_key_order_difference(self, monkeypatch):
+        import repro.lang.interpreter as interpreter
+
+        reference = interpreter.run_sequential_interpreted
+
+        def reordered(program, env, inputs=None):
+            state = reference(program, env, inputs)
+            return {
+                name: dict(reversed(list(values.items())))
+                for name, values in state.items()
+            }
+
+        monkeypatch.setattr(interpreter, "run_sequential_interpreted", reordered)
+        instance = _skip_if_unschedulable(generate_instance(0))
+        report = run_instance(instance, HarnessConfig(check_oracle_ab=True))
+        assert report.failed_checks == {"oracle_ab"}
+
+    def test_cadence_is_staggered(self):
+        from repro.fuzz.driver import ORACLE_AB_EVERY, iteration_config
+
+        base = HarnessConfig()
+        for iteration in range(4 * ORACLE_AB_EVERY):
+            config = iteration_config(base, iteration)
+            assert config.check_oracle_ab == (iteration % ORACLE_AB_EVERY == 0)
+            if config.check_oracle_ab:
+                assert not (
+                    config.check_sched_ab
+                    or config.check_npgen
+                    or config.check_partition
+                )

@@ -93,6 +93,39 @@ class TestPaperDesignRoundTrips:
 
         service_run(scenario)
 
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("exp_id", ["D1", "E2"])
+    def test_npgen_batch_equals_single_requests(self, service_run, exp_id, check):
+        """``batch=8`` (one vectorized npgen pass) answers exactly what
+        eight ``batch=1`` requests at seeds ``s .. s+7`` do."""
+        pytest.importorskip("numpy")
+        _, source, design = next(r for r in paper_requests() if r[0] == exp_id)
+        seed = 11
+
+        async def scenario(client, service):
+            common = dict(
+                source=source, design=design, sizes=SIZES[exp_id],
+                backend="npgen", check=check,
+            )
+            status, batched = await client.execute(seed=seed, batch=8, **common)
+            assert status == 200
+            singles = []
+            for b in range(8):
+                status, one = await client.execute(seed=seed + b, batch=1, **common)
+                assert status == 200
+                singles.extend(one["results"])
+                if check:
+                    assert one["matched"] is True
+            assert batched["results"] == singles
+            assert batched["checked"] is check
+            if check:
+                assert batched["matched"] is True
+                assert batched["mismatched_elements"] == 0
+            else:
+                assert "matched" not in batched
+
+        service_run(scenario)
+
 
 class TestEmit:
     def test_emit_variants_match_cli_renderers(self, service_run):

@@ -243,3 +243,36 @@ class TestServeFlagValidation:
 
         args = build_parser().parse_args(["serve"])
         validate_serve_args(args)  # must not raise
+
+
+class TestInputErrors:
+    """Bad input files and flags exit 2 with one ``error:`` line, not a
+    traceback."""
+
+    def _fails(self, argv, capsys, *needles):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        for needle in needles:
+            assert needle in err
+        return err
+
+    def test_missing_source_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.src")
+        self._fails(["execute", missing, DESIGN, "-s", "n=4"], capsys,
+                    "cannot read source file", "nope.src")
+
+    def test_malformed_design_json(self, tmp_path, capsys):
+        spec = tmp_path / "bad.json"
+        spec.write_text('{"step": [[2, 1]], "place": ')
+        self._fails(["compile", SOURCE, str(spec)], capsys, "not valid JSON")
+
+    def test_design_without_place(self, tmp_path, capsys):
+        spec = tmp_path / "noplace.json"
+        spec.write_text(json.dumps({"step": [[2, 1]]}))
+        self._fails(["verify", SOURCE, str(spec), "-s", "n=4"], capsys,
+                    "missing the 'place' rows")
+
+    def test_non_integer_size(self, capsys):
+        self._fails(["execute", SOURCE, DESIGN, "-s", "n=abc"], capsys,
+                    "size n must be an integer, got 'abc'")
