@@ -28,7 +28,7 @@ from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.core.program import SystolicProgram
+from repro.core.program import SystolicProgram, design_fingerprint
 from repro.geometry.point import Point
 from repro.runtime.trace import Trace
 from repro.symbolic.affine import Numeric
@@ -273,8 +273,9 @@ def build_wavefront_schedule(
         a, b = bounds[i], bounds[i + 1]
         gather = {name: g[a:b] for name, g in gathers.items()}
         for name in written:
-            idx = gather[name]
-            if np.unique(idx).shape[0] != idx.shape[0]:
+            # sort-and-compare, not np.unique(idx): that path imports numpy.ma
+            idx = np.sort(gather[name])
+            if (idx[1:] == idx[:-1]).any():
                 raise CompilationError(
                     f"wavefront t={int(tv)} touches an element of written "
                     f"stream {name} twice: the design violates dependence "
@@ -285,8 +286,6 @@ def build_wavefront_schedule(
                 t=int(tv), points=x[:, a:b], cells=cells[:, a:b], gather=gather
             )
         )
-
-    from repro.target.pygen import design_fingerprint  # lazy: import cycle
 
     return WavefrontSchedule(
         fingerprint=design_fingerprint(sp),
@@ -329,8 +328,6 @@ class ScheduleCache:
     def schedule_for(
         self, sp: SystolicProgram, env: Mapping[str, Numeric]
     ) -> WavefrontSchedule:
-        from repro.target.pygen import design_fingerprint  # lazy: import cycle
-
         key = (
             design_fingerprint(sp),
             tuple(sorted((k, int(v)) for k, v in env.items())),

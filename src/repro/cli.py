@@ -42,19 +42,22 @@ import sys
 import warnings
 from pathlib import Path
 
+from repro import profiling
 from repro.core.scheme import compile_systolic
 from repro.lang.parser import parse_program
 from repro.lang.program import SourceProgram
 from repro.systolic.schedule import makespan, synthesize_places, synthesize_step
 from repro.systolic.spec import SystolicArray, array_from_spec
-from repro.target.build import build_target_program
-from repro.target.cgen import render_c
-from repro.target.occam import render_occam
-from repro.target.pretty import render_paper
 from repro.util.errors import ReproError
-from repro.verify.equivalence import verify_design
 
-_RENDERERS = {"paper": render_paper, "occam": render_occam, "c": render_c}
+#: ``repro fuzz --mutate`` / ``--feature`` choices, kept here so building
+#: the parser never imports the fuzzer; a test pins them to
+#: ``sorted(repro.fuzz.harness.MUTATIONS)`` and ``repro.fuzz.generator.FEATURES``
+MUTATION_CHOICES = (
+    "count_plus_one", "drain_plus_one", "map_shear", "pass_plus_one",
+    "soak_plus_one",
+)
+FEATURE_CHOICES = ("negative_step", "all_negative", "minmax_bound", "multi_branch")
 
 
 def _read_text(path: str, what: str) -> str:
@@ -134,17 +137,25 @@ def parse_size_sweep(pairs: list[str]) -> list[dict[str, int]]:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
+    from repro.target.build import build_target_program
+    from repro.target.cgen import render_c
+    from repro.target.occam import render_occam
+    from repro.target.pretty import render_paper
+
+    renderers = {"paper": render_paper, "occam": render_occam, "c": render_c}
     program = load_program(args.source)
     array = load_design(args.design)
     systolic = compile_systolic(program, array)
     print(systolic.summary())
     if args.emit != "none":
         print()
-        print(_RENDERERS[args.emit](build_target_program(systolic)))
+        print(renderers[args.emit](build_target_program(systolic)))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from repro.verify.equivalence import verify_design
+
     program = load_program(args.source)
     array = load_design(args.design)
     systolic = compile_systolic(program, array)
@@ -179,16 +190,15 @@ def cmd_execute(args: argparse.Namespace) -> int:
         random_inputs(program, env, seed=args.seed + b) for b in range(args.batch)
     ]
 
-    start = time.perf_counter()
+    # Import the backend before the clock starts: the printed time is the
+    # run's own, not NumPy's import.
     if args.backend == "npgen":
-        if shape is not None:
-            from repro.target.npgen import execute_numpy_banded
+        from repro.target.npgen import execute_numpy_banded, execute_numpy_batch
 
-            results = execute_numpy_banded(systolic, env, batch, shape=shape)
-        else:
-            from repro.target.npgen import execute_numpy_batch
-
-            results = execute_numpy_batch(systolic, env, batch)
+        def run():
+            if shape is not None:
+                return execute_numpy_banded(systolic, env, batch, shape=shape)
+            return execute_numpy_batch(systolic, env, batch)
     elif args.backend == "pygen":
         if shape is not None:
             print(
@@ -199,27 +209,30 @@ def cmd_execute(args: argparse.Namespace) -> int:
             return 2
         from repro.target.pygen import execute_python
 
-        results = [execute_python(systolic, env, inputs) for inputs in batch]
-    elif shape is not None:
-        from repro.extensions.partition import partitioned_execute
-
-        results = []
-        for inputs in batch:
-            final, _stats = partitioned_execute(systolic, env, inputs, shape=shape)
-            results.append(
-                {v: {tuple(p): val for p, val in vals.items()}
-                 for v, vals in final.items()}
-            )
+        def run():
+            return [execute_python(systolic, env, inputs) for inputs in batch]
     else:
-        from repro.runtime.network import execute
+        if shape is not None:
+            from functools import partial
 
-        results = []
-        for inputs in batch:
-            final, _stats = execute(systolic, env, inputs)
-            results.append(
-                {v: {tuple(p): val for p, val in vals.items()}
-                 for v, vals in final.items()}
-            )
+            from repro.extensions.partition import partitioned_execute
+
+            simulate = partial(partitioned_execute, shape=shape)
+        else:
+            from repro.runtime.network import execute as simulate
+
+        def run():
+            results = []
+            for inputs in batch:
+                final, _stats = simulate(systolic, env, inputs)
+                results.append(
+                    {v: {tuple(p): val for p, val in vals.items()}
+                     for v, vals in final.items()}
+                )
+            return results
+
+    start = time.perf_counter()
+    results = run()
     elapsed = time.perf_counter() - start
 
     array_note = ""
@@ -598,11 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--input-seed", type=int, default=0, help="stream input value seed"
     )
-    from repro.fuzz.harness import MUTATIONS
-
     p.add_argument(
         "--mutate",
-        choices=sorted(MUTATIONS),
+        choices=MUTATION_CHOICES,
         default=None,
         help="plant a known bug (harness self-test; the run must fail)",
     )
@@ -630,11 +641,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="tests/fuzz_corpus",
         help="where minimized reproducers are written",
     )
-    from repro.fuzz.generator import FEATURES
-
     p.add_argument(
         "--feature",
-        choices=FEATURES,
+        choices=FEATURE_CHOICES,
         default=None,
         help="restrict the campaign to one generator stratum",
     )
@@ -691,7 +700,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit:
+        # a usage error or --help ran no command: nothing to profile
+        profiling.skip_report()
+        raise
     try:
         return args.func(args)
     except ReproError as exc:

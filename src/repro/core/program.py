@@ -9,6 +9,7 @@ backends (:mod:`repro.target`) and to the executable runtime
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -154,3 +155,44 @@ class SystolicProgram:
                 f"{p.internal_buffers()} internal buffer(s) per link"
             )
         return "\n".join(lines)
+
+
+#: bumped whenever the generated-source format of :mod:`repro.target.pygen`
+#: changes; part of every design fingerprint so a stale disk cache can never
+#: resurface old code
+PYGEN_FORMAT_VERSION = "1"
+
+
+def design_fingerprint(sp: SystolicProgram) -> str:
+    """A stable identity for (source program, array spec, generator version).
+
+    Built from the canonical ``to_source()`` text and the exact step/place/
+    loading numbers, so it is reproducible across processes -- the key of
+    the on-disk render cache and of the compile service's design store.
+    """
+    return fingerprint_of(sp.source, sp.array)
+
+
+def fingerprint_of(program, array) -> str:
+    """:func:`design_fingerprint` computed *before* compilation.
+
+    The fingerprint depends only on the source program and the array spec,
+    so callers that need the key up front (the compile service coalesces
+    identical in-flight compiles on it) can hash the request without paying
+    for ``compile_systolic`` first.  Identical by construction to the
+    fingerprint of the compiled ``SystolicProgram``.
+    """
+    h = hashlib.sha256()
+    h.update(PYGEN_FORMAT_VERSION.encode())
+    h.update(b"\x00")
+    h.update(program.to_source().encode())
+    h.update(b"\x00")
+    h.update(repr(array.step.rows).encode())
+    h.update(b"\x00")
+    h.update(repr(array.place.rows).encode())
+    h.update(b"\x00")
+    loading = sorted(
+        (name, tuple(vec)) for name, vec in array.loading_vectors.items()
+    )
+    h.update(repr(loading).encode())
+    return h.hexdigest()

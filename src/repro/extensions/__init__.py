@@ -9,24 +9,7 @@ each worker, quantifying how the generated programs degrade when folded
 onto a smaller machine.
 """
 
-from repro.extensions.pipelining import (
-    PipelinedProgram,
-    LiftedStream,
-    pipeline_program,
-)
-from repro.extensions.partition import (
-    PartitionedSchedule,
-    StreamFold,
-    SymbolicPartition,
-    TileBand,
-    band_edges,
-    block_assignment,
-    compile_partition,
-    partitioned_execute,
-    partitioned_schedule,
-    round_robin_assignment,
-    wavefront_tile_bands,
-)
+from repro.util import lazy_exports
 
 __all__ = [
     "PipelinedProgram",
@@ -44,3 +27,24 @@ __all__ = [
     "round_robin_assignment",
     "wavefront_tile_bands",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.extensions.pipelining": (
+        "PipelinedProgram",
+        "LiftedStream",
+        "pipeline_program",
+    ),
+    "repro.extensions.partition": (
+        "PartitionedSchedule",
+        "StreamFold",
+        "SymbolicPartition",
+        "TileBand",
+        "band_edges",
+        "block_assignment",
+        "compile_partition",
+        "partitioned_execute",
+        "partitioned_schedule",
+        "round_robin_assignment",
+        "wavefront_tile_bands",
+    ),
+})

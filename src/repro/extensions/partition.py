@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro.core.memo import MEMO
-from repro.core.program import SystolicProgram
+from repro.core.program import SystolicProgram, design_fingerprint
 from repro.geometry.point import Point
 from repro.runtime.network import build_network
 from repro.runtime.scheduler import SchedulerStats
@@ -369,8 +369,6 @@ class SymbolicPartition:
 
 
 def _derive_partition(sp: SystolicProgram, shape: tuple[int, ...]) -> SymbolicPartition:
-    from repro.target.pygen import design_fingerprint  # lazy: import cycle
-
     rows = [tuple(int(c) for c in sp.array.place.rows[axis]) for axis in range(len(shape))]
     folds = tuple(
         StreamFold(
@@ -404,8 +402,6 @@ def compile_partition(
     memo's per-table hit counters (``MEMO.table_counters``) prove the
     reuse.
     """
-    from repro.target.pygen import design_fingerprint  # lazy: import cycle
-
     shape = tuple(int(s) for s in shape)
     if not 1 <= len(shape) <= len(sp.coords):
         raise RuntimeSimulationError(
@@ -541,8 +537,6 @@ class PartitionCache:
         env: Mapping[str, Numeric],
         shape: tuple[int, ...],
     ) -> PartitionedSchedule:
-        from repro.target.pygen import design_fingerprint  # lazy: import cycle
-
         shape = tuple(int(s) for s in shape)
         key = (
             design_fingerprint(sp),

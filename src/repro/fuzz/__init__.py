@@ -26,28 +26,7 @@ those shapes:
   iteration/time budgets, worker pool fan-out, shrinking, summaries).
 """
 
-from repro.fuzz.corpus import (
-    instance_from_json,
-    instance_to_json,
-    load_reproducer,
-    write_reproducer,
-)
-from repro.fuzz.driver import FuzzSummary, fuzz_run
-from repro.fuzz.generator import (
-    FuzzInstance,
-    generate_design,
-    generate_instance,
-    generate_program,
-)
-from repro.fuzz.harness import (
-    MUTATIONS,
-    CheckFailure,
-    HarnessConfig,
-    InstanceReport,
-    apply_mutation,
-    run_instance,
-)
-from repro.fuzz.shrink import shrink_instance
+from repro.util import lazy_exports
 
 __all__ = [
     "CheckFailure",
@@ -68,3 +47,28 @@ __all__ = [
     "shrink_instance",
     "write_reproducer",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.fuzz.corpus": (
+        "instance_from_json",
+        "instance_to_json",
+        "load_reproducer",
+        "write_reproducer",
+    ),
+    "repro.fuzz.driver": ("FuzzSummary", "fuzz_run"),
+    "repro.fuzz.generator": (
+        "FuzzInstance",
+        "generate_design",
+        "generate_instance",
+        "generate_program",
+    ),
+    "repro.fuzz.harness": (
+        "MUTATIONS",
+        "CheckFailure",
+        "HarnessConfig",
+        "InstanceReport",
+        "apply_mutation",
+        "run_instance",
+    ),
+    "repro.fuzz.shrink": ("shrink_instance",),
+})

@@ -10,7 +10,8 @@ only the report itself is gated on the environment variable.
 Subsystems *register* a named provider (a zero-argument callable returning
 a flat ``{counter: value}`` dict) instead of pushing values here, so the
 report always reflects live state and importing this module never drags in
-the rest of the package.
+the rest of the package.  Providers register when their module is imported,
+so the report lists only the subsystems a run actually loaded.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "reset_stages",
     "snapshot",
     "format_report",
+    "skip_report",
 ]
 
 _providers: dict[str, Callable[[], Mapping[str, object]]] = {}
@@ -73,6 +75,12 @@ def format_report() -> str:
         for name, seconds in snap["stages"].items():
             lines.append(f"  {name:<25} {seconds:.3f}s")
     return "\n".join(lines)
+
+
+def skip_report() -> None:
+    """Drop the exit report: the process ran nothing worth reporting (the
+    CLI calls this after a usage error)."""
+    atexit.unregister(_report_at_exit)
 
 
 def _report_at_exit() -> None:

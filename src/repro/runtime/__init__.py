@@ -16,11 +16,7 @@ a process network, and :func:`repro.runtime.network.execute` runs it against
 host-side variable arrays.
 """
 
-from repro.runtime.ops import Send, Recv, Par
-from repro.runtime.channel import Channel
-from repro.runtime.scheduler import Scheduler, SchedulerStats
-from repro.runtime.host import Host
-from repro.runtime.network import ProcessNetwork, build_network, execute
+from repro.util import lazy_exports
 
 __all__ = [
     "Send",
@@ -34,3 +30,11 @@ __all__ = [
     "build_network",
     "execute",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.runtime.ops": ("Send", "Recv", "Par"),
+    "repro.runtime.channel": ("Channel",),
+    "repro.runtime.scheduler": ("Scheduler", "SchedulerStats"),
+    "repro.runtime.host": ("Host",),
+    "repro.runtime.network": ("ProcessNetwork", "build_network", "execute"),
+})

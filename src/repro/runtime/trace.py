@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.runtime.scheduler import SchedulerStats
+if TYPE_CHECKING:
+    from repro.runtime.scheduler import SchedulerStats
 
 
 @dataclass(frozen=True)

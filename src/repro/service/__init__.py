@@ -21,11 +21,7 @@ Layout:
   the benchmark, and scripting against a running daemon).
 """
 
-from repro.service.client import ServiceClient
-from repro.service.daemon import CompileService, ServiceConfig
-from repro.service.metrics import ServiceMetrics
-from repro.service.ratelimit import RateLimiter, TokenBucket
-from repro.service.store import DesignStore
+from repro.util import lazy_exports
 
 __all__ = [
     "CompileService",
@@ -36,3 +32,11 @@ __all__ = [
     "ServiceMetrics",
     "TokenBucket",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.client": ("ServiceClient",),
+    "repro.service.daemon": ("CompileService", "ServiceConfig"),
+    "repro.service.metrics": ("ServiceMetrics",),
+    "repro.service.ratelimit": ("RateLimiter", "TokenBucket"),
+    "repro.service.store": ("DesignStore",),
+})

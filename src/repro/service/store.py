@@ -28,12 +28,11 @@ from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.core.program import SystolicProgram
+from repro.core.program import SystolicProgram, fingerprint_of
 from repro.core.scheme import compile_systolic
 from repro.lang.parser import parse_program
 from repro.lang.program import SourceProgram
 from repro.systolic.spec import SystolicArray, array_from_spec
-from repro.target.pygen import fingerprint_of
 from repro.util.errors import ReproError
 
 __all__ = ["DesignStore", "StoredDesign", "array_from_spec"]

@@ -17,12 +17,7 @@ array operations -- same results, orders of magnitude faster at large
 sizes, with a leading batch axis for many independent input sets.
 """
 
-from repro.target.build import build_target_program
-from repro.target.cgen import render_c
-from repro.target.npgen import HAVE_NUMPY, execute_numpy, execute_numpy_batch
-from repro.target.occam import render_occam
-from repro.target.pretty import format_piecewise, format_repeater, render_paper
-from repro.target.pygen import execute_python, render_python
+from repro.util import lazy_exports
 
 __all__ = [
     "HAVE_NUMPY",
@@ -37,3 +32,12 @@ __all__ = [
     "render_paper",
     "render_python",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.target.build": ("build_target_program",),
+    "repro.target.cgen": ("render_c",),
+    "repro.target.npgen": ("HAVE_NUMPY", "execute_numpy", "execute_numpy_batch"),
+    "repro.target.occam": ("render_occam",),
+    "repro.target.pretty": ("format_piecewise", "format_repeater", "render_paper"),
+    "repro.target.pygen": ("execute_python", "render_python"),
+})

@@ -37,7 +37,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
-from repro.core.program import SystolicProgram
+from repro.core.program import SystolicProgram, design_fingerprint
 from repro.lang.expr import Affine, BinOp, Body, Const, IndexExpr, StreamRead
 from repro.lang.interpreter import initial_state
 from repro.symbolic.affine import AffineVec
@@ -500,10 +500,6 @@ def run_threaded(sizes, inputs):
 # Enable it by passing ``cache_dir`` to :func:`render_python_cached` /
 # :func:`execute_python` or by setting ``REPRO_RENDER_CACHE`` to a directory.
 
-#: bumped whenever the generated-source format changes; part of every
-#: design fingerprint so a stale disk cache can never resurface old code
-PYGEN_FORMAT_VERSION = "1"
-
 DEFAULT_MODULE_CACHE_SIZE = 64
 
 
@@ -625,41 +621,6 @@ MODULE_CACHE = ModuleCache(
 
 def _module_for(source: str) -> dict:
     return MODULE_CACHE.namespace_for(source)
-
-
-def design_fingerprint(sp: SystolicProgram) -> str:
-    """A stable identity for (source program, array spec, generator version).
-
-    Built from the canonical ``to_source()`` text and the exact step/place/
-    loading numbers, so it is reproducible across processes -- the key of
-    the on-disk render cache and of the compile service's design store.
-    """
-    return fingerprint_of(sp.source, sp.array)
-
-
-def fingerprint_of(program, array) -> str:
-    """:func:`design_fingerprint` computed *before* compilation.
-
-    The fingerprint depends only on the source program and the array spec,
-    so callers that need the key up front (the compile service coalesces
-    identical in-flight compiles on it) can hash the request without paying
-    for ``compile_systolic`` first.  Identical by construction to the
-    fingerprint of the compiled ``SystolicProgram``.
-    """
-    h = hashlib.sha256()
-    h.update(PYGEN_FORMAT_VERSION.encode())
-    h.update(b"\x00")
-    h.update(program.to_source().encode())
-    h.update(b"\x00")
-    h.update(repr(array.step.rows).encode())
-    h.update(b"\x00")
-    h.update(repr(array.place.rows).encode())
-    h.update(b"\x00")
-    loading = sorted(
-        (name, tuple(vec)) for name, vec in array.loading_vectors.items()
-    )
-    h.update(repr(loading).encode())
-    return h.hexdigest()
 
 
 def _render_cache_dir(cache_dir) -> "Path | None":

@@ -21,6 +21,7 @@ from repro.util.errors import (
 
 __all__ = [
     "env_int",
+    "lazy_exports",
     "ReproError",
     "GeometryError",
     "SingularMatrixError",
@@ -86,3 +87,39 @@ def require_numpy(feature: str = "this feature"):
             "(or simply `pip install numpy`)"
         ) from None
     return numpy
+
+
+def lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
+    """PEP 562 lazy re-exports for a package ``__init__``.
+
+    ``exports`` maps each submodule to the public names it provides.  The
+    returned ``(__getattr__, __dir__)`` pair imports a submodule only when
+    one of its names is first looked up, then stores the value as a plain
+    package attribute so later lookups never come back here::
+
+        __getattr__, __dir__ = lazy_exports(__name__, {
+            "repro.target.npgen": ("HAVE_NUMPY", "execute_numpy"),
+        })
+
+    ``from package import name``, ``import *`` (through ``__all__``) and
+    ``dir()`` behave as with eager imports, but a command pays only for the
+    modules it actually runs -- NumPy, the fuzzer or the service are never
+    loaded by a run that does not use them.
+    """
+    import importlib
+    import sys
+
+    owner = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str):
+        module = owner.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(vars(sys.modules[package])) | set(owner))
+
+    return __getattr__, __dir__

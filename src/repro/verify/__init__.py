@@ -7,15 +7,7 @@ version of the paper's hand-checked transputer runs.
 executable checks over a concrete design and problem size.
 """
 
-from repro.verify.equivalence import (
-    BACKENDS,
-    VerificationReport,
-    random_inputs,
-    verify_design,
-    verify_design_batch,
-)
-from repro.verify.theorems import check_all_theorems, THEOREM_CHECKS
-from repro.verify.enumerative import CrossCheckReport, cross_check
+from repro.util import lazy_exports
 
 __all__ = [
     "BACKENDS",
@@ -28,3 +20,15 @@ __all__ = [
     "CrossCheckReport",
     "cross_check",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.verify.equivalence": (
+        "BACKENDS",
+        "VerificationReport",
+        "random_inputs",
+        "verify_design",
+        "verify_design_batch",
+    ),
+    "repro.verify.theorems": ("check_all_theorems", "THEOREM_CHECKS"),
+    "repro.verify.enumerative": ("CrossCheckReport", "cross_check"),
+})

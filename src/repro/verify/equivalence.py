@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.core.program import SystolicProgram
 from repro.core.scheme import compile_systolic
@@ -19,11 +19,12 @@ from repro.geometry.point import Point
 from repro.lang.expr import RuntimeValue
 from repro.lang.interpreter import run_sequential
 from repro.lang.program import SourceProgram
-from repro.runtime.network import execute
-from repro.runtime.scheduler import SchedulerStats
 from repro.symbolic.affine import Numeric
 from repro.systolic.spec import SystolicArray
 from repro.util.errors import VerificationError
+
+if TYPE_CHECKING:
+    from repro.runtime.scheduler import SchedulerStats
 
 
 def random_inputs(
@@ -93,6 +94,8 @@ def _execute_backend(backend, sp, env, inputs, channel_capacity, partition=None)
                 sp, env, inputs, shape=partition, channel_capacity=channel_capacity
             )
         else:
+            from repro.runtime.network import execute
+
             final, stats = execute(
                 sp, env, inputs, channel_capacity=channel_capacity
             )

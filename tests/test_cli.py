@@ -276,3 +276,29 @@ class TestInputErrors:
     def test_non_integer_size(self, capsys):
         self._fails(["execute", SOURCE, DESIGN, "-s", "n=abc"], capsys,
                     "size n must be an integer, got 'abc'")
+
+
+class TestProfileReport:
+    """``REPRO_PROFILE=1`` reports at exit only when a command ran."""
+
+    def _run(self, *argv):
+        import subprocess
+        import sys
+
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, REPRO_PROFILE="1", PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, env=env,
+        )
+
+    def test_no_report_after_usage_error(self):
+        proc = self._run("execute", "--bogus")
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr
+        assert "REPRO_PROFILE report" not in proc.stderr
+
+    def test_report_after_a_command(self):
+        proc = self._run("designs")
+        assert proc.returncode == 0
+        assert "REPRO_PROFILE report" in proc.stderr
