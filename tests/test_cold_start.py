@@ -39,7 +39,6 @@ LAZY_PACKAGES = [
 def _loaded_after(code: str) -> set[str]:
     """The module names a fresh interpreter holds after running ``code``."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    env.pop("REPRO_PROFILE", None)
     proc = subprocess.run(
         [sys.executable, "-c",
          code + "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"],
